@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"testing"
 
 	"paralleltape/internal/model"
@@ -18,7 +19,8 @@ import (
 // worker counts.
 
 // referenceRun is the pre-rewrite Run: map-grouped atoms, a
-// map[int64]float64 edge accumulator, and map[int]linkInfo neighbor sets.
+// map[int64]float64 edge accumulator, and map[int]refLinkInfo neighbor
+// sets.
 func referenceRun(w *model.Workload, cfg Config) (*Result, error) {
 	if cfg.Threshold < 0 || math.IsNaN(cfg.Threshold) {
 		return nil, fmt.Errorf("cluster: threshold must be non-negative, got %v", cfg.Threshold)
@@ -147,6 +149,49 @@ func refBuildEdges(w *model.Workload, atoms []atom) []pairEdge {
 	return edges
 }
 
+// refLinkInfo, value and refMergeLink are the pre-rewrite pair aggregate
+// kept verbatim: one 32-byte record carrying every linkage's statistic at
+// once. The production arena stores a linkage-specific 16-byte payload;
+// keeping the original here means a payload or merge-rule bug cannot
+// cancel out of the comparison.
+type refLinkInfo struct {
+	sumSim float64 // Σ over cross object pairs of their similarity
+	minSim float64
+	maxSim float64
+	pairs  int64 // number of cross object pairs with nonzero similarity
+}
+
+func (li refLinkInfo) value(l Linkage, sizeA, sizeB int64) float64 {
+	switch l {
+	case Single:
+		return li.maxSim
+	case Complete:
+		// Pairs with zero similarity drag the minimum to zero.
+		if li.pairs < sizeA*sizeB {
+			return 0
+		}
+		return li.minSim
+	default: // Average: zero-sim pairs count in the denominator.
+		return li.sumSim / float64(sizeA*sizeB)
+	}
+}
+
+func refMergeLink(x, y refLinkInfo) refLinkInfo {
+	out := refLinkInfo{
+		sumSim: x.sumSim + y.sumSim,
+		pairs:  x.pairs + y.pairs,
+		minSim: x.minSim,
+		maxSim: x.maxSim,
+	}
+	if y.minSim < out.minSim {
+		out.minSim = y.minSim
+	}
+	if y.maxSim > out.maxSim {
+		out.maxSim = y.maxSim
+	}
+	return out
+}
+
 // refLiveCluster mirrors the old map-based liveCluster.
 type refLiveCluster struct {
 	alive     bool
@@ -156,7 +201,7 @@ type refLiveCluster struct {
 	bytes     int64
 	reqBits   []uint64
 	cohesion  float64
-	neighbors map[int]linkInfo
+	neighbors map[int]refLinkInfo
 }
 
 // refCandidate and refCandHeap are the pre-rewrite heap kept verbatim: a
@@ -244,7 +289,7 @@ func refAgglomerate(w *model.Workload, atoms []atom, cfg Config) []Cluster {
 			bytes:     a.bytes,
 			reqBits:   bits[i*words : (i+1)*words : (i+1)*words],
 			cohesion:  math.Inf(1),
-			neighbors: make(map[int]linkInfo, degree[i]),
+			neighbors: make(map[int]refLinkInfo, degree[i]),
 		}
 		for _, r := range a.reqs {
 			c.reqBits[int(r)/64] |= 1 << (uint(r) % 64)
@@ -290,7 +335,7 @@ func refAgglomerate(w *model.Workload, atoms []atom, cfg Config) []Cluster {
 
 	for _, e := range edges {
 		ca, cb := clusters[e.a], clusters[e.b]
-		li := linkInfo{
+		li := refLinkInfo{
 			sumSim: e.sim * float64(ca.objects*cb.objects),
 			minSim: e.sim,
 			maxSim: e.sim,
@@ -340,7 +385,7 @@ func refAgglomerate(w *model.Workload, atoms []atom, cfg Config) []Cluster {
 		for _, k := range keys {
 			li := cb.neighbors[k]
 			if prev, ok := ca.neighbors[k]; ok {
-				li = mergeLink(prev, li)
+				li = refMergeLink(prev, li)
 			}
 			ca.neighbors[k] = li
 			delete(clusters[k].neighbors, b)
@@ -419,7 +464,7 @@ func requireBitIdentical(t *testing.T, got, want *Result) {
 // equivalenceWorkloads returns the workload matrix the rewrite is pinned
 // on: a paper-shaped generated workload plus crafted shapes that exercise
 // atom collapse, unreferenced objects, shared objects, and cap splits.
-func equivalenceWorkloads(t *testing.T) map[string]*model.Workload {
+func equivalenceWorkloads(t testing.TB) map[string]*model.Workload {
 	t.Helper()
 	p := workload.Defaults()
 	p.NumObjects = 4000
@@ -505,5 +550,63 @@ func TestRunScratchReuseStable(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireBitIdentical(t, got, want)
+	}
+}
+
+// TestRunConcurrentMatchesSequential clusters k distinct workloads on k
+// goroutines at once, several times over, so the shared scratch free list
+// hands buffers grown for one workload to another mid-flight; every result
+// must match the sequential one bit for bit.
+func TestRunConcurrentMatchesSequential(t *testing.T) {
+	cfgs := []Config{
+		{Linkage: Average},
+		{Linkage: Single, MaxObjects: 32},
+		{Linkage: Complete, MaxBytes: 1 << 20},
+		{Linkage: Average, Parallel: true},
+	}
+	k := len(cfgs)
+	ws := make([]*model.Workload, k)
+	want := make([]*Result, k)
+	for i := range ws {
+		p := workload.Defaults()
+		p.NumObjects = 1000 + 400*i
+		p.NumRequests = 40 + 10*i
+		p.MinReqLen = 5
+		p.MaxReqLen = 40
+		w, err := workload.Generate(p, rng.New(uint64(100+i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws[i] = w
+		if want[i], err = Run(w, cfgs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const reps = 3
+	got := make([][]*Result, k)
+	errs := make([]error, k)
+	var wg sync.WaitGroup
+	for i := 0; i < k; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for rep := 0; rep < reps; rep++ {
+				res, err := Run(ws[i], cfgs[i])
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				got[i] = append(got[i], res)
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("workload %d: %v", i, errs[i])
+		}
+		for _, res := range got[i] {
+			requireBitIdentical(t, res, want[i])
+		}
 	}
 }

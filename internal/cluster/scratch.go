@@ -41,9 +41,8 @@ type scratch struct {
 	atomNext []int32
 	bits     []uint64
 	nbrs     []int32
-	links    []linkInfo
-	spareN   []int32
-	spareL   []linkInfo
+	links    []link
+	order    []int32
 	heap     candHeap
 }
 

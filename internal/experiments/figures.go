@@ -52,14 +52,10 @@ func Fig5(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		cl, err := clusterOnce(w)
-		if err != nil {
-			return nil, err
-		}
 		for m := 1; m <= maxM; m++ {
 			runs = append(runs, Run{
 				Label:  fmt.Sprintf("alpha=%.1f", alpha),
-				Scheme: placement.ParallelBatch{M: m, K: cfg.K, Precomputed: cl},
+				Scheme: placement.ParallelBatch{M: m, K: cfg.K},
 				W:      w,
 				HW:     cfg.HW,
 				X:      float64(m),
@@ -103,11 +99,7 @@ func Fig6(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		cl, err := clusterOnce(w)
-		if err != nil {
-			return nil, err
-		}
-		for _, sch := range cfg.threeSchemes(cl) {
+		for _, sch := range cfg.threeSchemes() {
 			runs = append(runs, Run{
 				Label:  fmt.Sprintf("alpha=%.1f", alpha),
 				Scheme: sch,
@@ -149,11 +141,7 @@ func Fig7(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		cl, err := clusterOnce(w)
-		if err != nil {
-			return nil, err
-		}
-		for _, sch := range cfg.threeSchemes(cl) {
+		for _, sch := range cfg.threeSchemes() {
 			runs = append(runs, Run{
 				Label:  "size=" + gb(target) + "GB",
 				Scheme: sch,
@@ -176,11 +164,7 @@ func Fig7(cfg Config) (*Report, error) {
 			return nil, err
 		}
 	}
-	clEx, err := clusterOnce(extreme)
-	if err != nil {
-		return nil, err
-	}
-	for _, sch := range cfg.threeSchemes(clEx) {
+	for _, sch := range cfg.threeSchemes() {
 		runs = append(runs, Run{
 			Label:  "extreme(all-mounted)",
 			Scheme: sch,
@@ -252,15 +236,11 @@ func Fig8(cfg Config) (*Report, error) {
 	if w == nil {
 		return nil, fmt.Errorf("experiments: could not shrink fig8 workload into one library")
 	}
-	cl, err := clusterOnce(w)
-	if err != nil {
-		return nil, err
-	}
 	var runs []Run
 	for _, n := range libCounts {
 		hw := cfg.HW
 		hw.Libraries = n
-		for _, sch := range cfg.threeSchemes(cl) {
+		for _, sch := range cfg.threeSchemes() {
 			runs = append(runs, Run{
 				Label:  fmt.Sprintf("libraries=%d", n),
 				Scheme: sch,
@@ -295,12 +275,8 @@ func Fig9(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl, err := clusterOnce(w)
-	if err != nil {
-		return nil, err
-	}
 	var runs []Run
-	for _, sch := range cfg.threeSchemes(cl) {
+	for _, sch := range cfg.threeSchemes() {
 		runs = append(runs, Run{Label: "components", Scheme: sch, W: w, HW: cfg.HW})
 	}
 	rows := cfg.RunAll(runs)
@@ -333,10 +309,6 @@ func Tech(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl, err := clusterOnce(base)
-	if err != nil {
-		return nil, err
-	}
 	points := []struct {
 		rate float64
 		cap  float64
@@ -346,7 +318,7 @@ func Tech(cfg Config) (*Report, error) {
 		hw := cfg.HW
 		hw.TransferRate *= pt.rate
 		hw.Capacity = int64(float64(hw.Capacity) * pt.cap)
-		for _, sch := range cfg.threeSchemes(cl) {
+		for _, sch := range cfg.threeSchemes() {
 			runs = append(runs, Run{
 				Label:  fmt.Sprintf("rate x%.0f, capacity x%.0f", pt.rate, pt.cap),
 				Scheme: sch,
@@ -408,12 +380,8 @@ func Robustness(cfg Config) (*Report, error) {
 		if _, err := workload.TargetMeanRequestBytes(w, cfg.target(fig6ReqBytes)); err != nil {
 			return nil, err
 		}
-		cl, err := clusterOnce(w)
-		if err != nil {
-			return nil, err
-		}
 		nSim := max(10, int(float64(cfg.Requests)*v.sim))
-		for _, sch := range cfg.threeSchemes(cl) {
+		for _, sch := range cfg.threeSchemes() {
 			runs = append(runs, Run{Label: v.name, Scheme: sch, W: w, HW: cfg.HW})
 			perRunRequests = append(perRunRequests, nSim)
 		}
@@ -457,20 +425,16 @@ func Ablation(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl, err := clusterOnce(w)
-	if err != nil {
-		return nil, err
-	}
 	variants := []struct {
 		name string
 		sch  placement.Scheme
 	}{
-		{"full parallel-batch", placement.ParallelBatch{M: cfg.M, K: cfg.K, Precomputed: cl}},
+		{"full parallel-batch", placement.ParallelBatch{M: cfg.M, K: cfg.K}},
 		{"no clustering (density only)", placement.ParallelBatch{M: cfg.M, K: cfg.K, NoRefine: true}},
-		{"no organ-pipe alignment", placement.ParallelBatch{M: cfg.M, K: cfg.K, Precomputed: cl, NoOrganPipe: true}},
-		{"first-fit balancing", placement.ParallelBatch{M: cfg.M, K: cfg.K, Precomputed: cl, FirstFitBalance: true}},
-		{"no cluster splitting", placement.ParallelBatch{M: cfg.M, K: cfg.K, Precomputed: cl, SplitThreshold: 1 << 62}},
-		{"wide hot batch (1+2)", placement.ParallelBatch{M: cfg.M, K: cfg.K, Precomputed: cl, WideHotBatch: true}},
+		{"no organ-pipe alignment", placement.ParallelBatch{M: cfg.M, K: cfg.K, NoOrganPipe: true}},
+		{"first-fit balancing", placement.ParallelBatch{M: cfg.M, K: cfg.K, FirstFitBalance: true}},
+		{"no cluster splitting", placement.ParallelBatch{M: cfg.M, K: cfg.K, SplitThreshold: 1 << 62}},
+		{"wide hot batch (1+2)", placement.ParallelBatch{M: cfg.M, K: cfg.K, WideHotBatch: true}},
 		{"round-robin spread", placement.RoundRobin{K: cfg.K}},
 	}
 	var runs []Run

@@ -67,16 +67,18 @@ func Phases(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl, err := clusterOnce(w)
-	if err != nil {
-		return nil, err
+	var runs []Run
+	for _, sch := range cfg.threeSchemes() {
+		runs = append(runs, Run{Scheme: sch, W: w, HW: cfg.HW})
 	}
+	runs = cfg.clusterStage(runs)
 	t := metrics.NewTable(
 		"Critical-path phase attribution (avg request ≈ 160 GB): share of response time blamed on each phase",
 		"scheme", "response p95 s", "queue", "rewind", "robot-wait", "robot-move", "load", "seek", "transfer")
 	var rows []Row
-	for _, sch := range cfg.threeSchemes(cl) {
-		b, err := cfg.phaseBreakdown(Run{Scheme: sch, W: w, HW: cfg.HW})
+	for _, run := range runs {
+		sch := run.Scheme
+		b, err := cfg.phaseBreakdown(run)
 		row := Row{Label: "phases", Scheme: sch.Name(), Err: err}
 		if err != nil {
 			t.AddRow(sch.Name(), "ERROR: "+err.Error())

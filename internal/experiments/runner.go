@@ -14,7 +14,12 @@
 // count changes a single byte of output, only wall-clock time (the
 // determinism contract in docs/ARCHITECTURE.md).
 //
-// Runs within one sweep that share the same (scheme, workload, hardware)
+// A sweep runs in two stages. The cluster stage computes every §5.1
+// clustering the sweep's cluster-using schemes need, once per distinct
+// (workload, cluster.Config) pair, with the pairs fanned across the same
+// worker pool; independent sweep points (Figure 6's α values, Figure 7's
+// request sizes) therefore cluster concurrently. The run stage then
+// executes the runs. Runs that share the same (scheme, workload, hardware)
 // triple — e.g. the scheduler study's nine policy points — also share one
 // memoized placement: Scheme.Place runs once per distinct triple and the
 // read-only PlacementResult is reused, concurrently, by every run.
@@ -26,6 +31,7 @@ import (
 	"io"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -95,11 +101,12 @@ type Config struct {
 	RequestTimeout float64
 	// Telemetry, when non-nil, streams live metrics from the sweep: every
 	// simulated system gets the collector as its trace recorder, and
-	// RunAll maintains the runs/requests targets and the completion
-	// counter, so a -progress reporter or a /metrics scrape can follow a
-	// long sweep. One collector is safely shared by all workers (its
-	// updates are atomic). Nil keeps the hot path recorder-free — the
-	// simulator's emit sites stay nil-check-only, with no allocations.
+	// RunAll maintains the clusterings/runs/requests targets and the
+	// completion counters, so a -progress reporter or a /metrics scrape
+	// can follow a long sweep. One collector is safely shared by all
+	// workers (its updates are atomic). Nil keeps the hot path
+	// recorder-free — the simulator's emit sites stay nil-check-only,
+	// with no allocations.
 	Telemetry *telemetry.Collector
 }
 
@@ -358,7 +365,101 @@ func (c Config) execute(r Run, pc *placeCache) Row {
 	return row
 }
 
-// RunAll executes runs on the worker pool, preserving input order.
+// clusterKey identifies a clustering computation: same workload instance,
+// same configuration → same (deterministic) result.
+type clusterKey struct {
+	w   *model.Workload
+	cfg cluster.Config
+}
+
+// clusteringScheme is a scheme that clusters inside Place unless it is
+// handed the clustering precomputed (placement.ClusterProbability and
+// placement.ParallelBatch).
+type clusteringScheme interface {
+	ClusteringNeeded() (cluster.Config, bool)
+	WithPrecomputed(res *cluster.Result) placement.Scheme
+}
+
+// clusteringOf reports the clustering a run's scheme would compute inside
+// Place, if any.
+func clusteringOf(r Run) (clusterKey, bool) {
+	cs, ok := r.Scheme.(clusteringScheme)
+	if !ok {
+		return clusterKey{}, false
+	}
+	cfg, need := cs.ClusteringNeeded()
+	return clusterKey{r.W, cfg}, need
+}
+
+// clusterStage runs every clustering the runs' schemes need, once per
+// distinct (workload, config) key and with the keys spread over the worker
+// pool, and returns a copy of runs with each result filled into its
+// scheme's Precomputed field. Clustering is deterministic and its result
+// read-only, so the sharing changes no output. A key whose clustering
+// fails is left unfilled: Place then repeats the call and reports the
+// error on the run's row.
+func (c Config) clusterStage(runs []Run) []Run {
+	index := make(map[clusterKey]int)
+	var keys []clusterKey
+	for _, r := range runs {
+		if k, ok := clusteringOf(r); ok {
+			if _, seen := index[k]; !seen {
+				index[k] = len(keys)
+				keys = append(keys, k)
+			}
+		}
+	}
+	if len(keys) == 0 {
+		return runs
+	}
+	if c.Telemetry != nil {
+		c.Telemetry.ClusteringsTarget.Add(int64(len(keys)))
+	}
+	results := make([]*cluster.Result, len(keys))
+	c.forEach(len(keys), func(i int) {
+		if res, err := cluster.Run(keys[i].w, keys[i].cfg); err == nil {
+			results[i] = res
+		}
+		if c.Telemetry != nil {
+			c.Telemetry.ClusteringsCompleted.Inc()
+		}
+	})
+	out := slices.Clone(runs)
+	for i := range out {
+		if k, ok := clusteringOf(out[i]); ok {
+			if res := results[index[k]]; res != nil {
+				out[i].Scheme = out[i].Scheme.(clusteringScheme).WithPrecomputed(res)
+			}
+		}
+	}
+	return out
+}
+
+// forEach calls fn(0..n-1) on up to c.workers() goroutines. Dispatch is an
+// atomic claim counter: workers pull the next index lock-free until the
+// range is drained, with no dispatcher goroutine and no per-job channel
+// operation.
+func (c Config) forEach(n int, fn func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(c.workers(), n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// RunAll executes runs on the worker pool, preserving input order: first
+// the cluster stage, then the runs.
 func (c Config) RunAll(runs []Run) []Row {
 	if c.Telemetry != nil {
 		// Raise the sweep targets before dispatch so a progress line or
@@ -376,46 +477,26 @@ func (c Config) RunAll(runs []Run) []Row {
 		c.Telemetry.RunsTarget.Add(int64(len(runs)))
 		c.Telemetry.RequestsTarget.Add(int64(len(runs) * n * seeds))
 	}
+	runs = c.clusterStage(runs)
 	rows := make([]Row, len(runs))
 	pc := newPlaceCache()
-	// Job dispatch is an atomic claim counter: workers pull the next index
-	// lock-free until the list is drained, with no dispatcher goroutine
-	// and no per-job channel operation.
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < c.workers(); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(runs) {
-					return
-				}
-				rows[i] = c.execute(runs[i], pc)
-				if c.Telemetry != nil {
-					c.Telemetry.RunsCompleted.Inc()
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	c.forEach(len(runs), func(i int) {
+		rows[i] = c.execute(runs[i], pc)
+		if c.Telemetry != nil {
+			c.Telemetry.RunsCompleted.Inc()
+		}
+	})
 	return rows
 }
 
-// clusterOnce computes the default clustering for w a single time so both
-// cluster-using schemes share it.
-func clusterOnce(w *model.Workload) (*cluster.Result, error) {
-	return cluster.Run(w, cluster.DefaultConfig())
-}
-
-// threeSchemes returns the paper's three comparison schemes, sharing a
-// precomputed clustering.
-func (c Config) threeSchemes(cl *cluster.Result) []placement.Scheme {
+// threeSchemes returns the paper's three comparison schemes. The two
+// cluster-using ones share one clustering per workload through RunAll's
+// cluster stage.
+func (c Config) threeSchemes() []placement.Scheme {
 	return []placement.Scheme{
 		placement.ObjectProbability{K: c.K},
-		placement.ClusterProbability{K: c.K, Precomputed: cl},
-		placement.ParallelBatch{M: c.M, K: c.K, Precomputed: cl},
+		placement.ClusterProbability{K: c.K},
+		placement.ParallelBatch{M: c.M, K: c.K},
 	}
 }
 

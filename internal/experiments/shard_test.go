@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
+	"paralleltape/internal/cluster"
 	"paralleltape/internal/model"
 	"paralleltape/internal/placement"
 	"paralleltape/internal/tape"
+	"paralleltape/internal/telemetry"
+	"paralleltape/internal/workload"
 )
 
 // sweepJSON renders the full sweep (every exhibit) to one JSON blob — the
@@ -155,5 +159,121 @@ func TestPlacementCacheDistinguishesKeys(t *testing.T) {
 	}
 	if got := calls.Load(); got != 3 {
 		t.Errorf("Place called %d times for 3 distinct keys, want 3", got)
+	}
+}
+
+// precomputed returns the clustering filled into a run's scheme, if any.
+func precomputed(r Run) *cluster.Result {
+	switch s := r.Scheme.(type) {
+	case placement.ClusterProbability:
+		return s.Precomputed
+	case placement.ParallelBatch:
+		return s.Precomputed
+	}
+	return nil
+}
+
+// TestClusterStageMemoized checks RunAll's cluster stage: every distinct
+// (workload, cluster.Config) key of a sweep clusters exactly once, runs
+// sharing a key share one result, schemes that never cluster are left
+// alone, the caller's runs are not modified, and the rows equal those of
+// the same runs with their clusterings computed by hand.
+func TestClusterStageMemoized(t *testing.T) {
+	cfg := quickCfg()
+	cfg.Requests = 5
+	w1, err := cfg.baseWorkload(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w2, err := workload.ReplaceAlpha(w1, 0.7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := cluster.Config{Linkage: cluster.Single}
+	var runs []Run
+	for _, w := range []*model.Workload{w1, w2} {
+		for _, sch := range cfg.threeSchemes() {
+			runs = append(runs, Run{Scheme: sch, W: w, HW: cfg.HW})
+		}
+	}
+	runs = append(runs,
+		Run{Scheme: placement.ParallelBatch{M: 2, K: cfg.K}, W: w1, HW: cfg.HW},
+		Run{Scheme: placement.ParallelBatch{M: cfg.M, K: cfg.K, Clustering: single}, W: w1, HW: cfg.HW},
+		Run{Scheme: placement.ParallelBatch{M: cfg.M, K: cfg.K, NoRefine: true}, W: w1, HW: cfg.HW},
+	)
+
+	staged := cfg.clusterStage(runs)
+	for i, r := range runs {
+		if precomputed(r) != nil {
+			t.Fatalf("clusterStage modified the caller's run %d", i)
+		}
+	}
+	w1Default := precomputed(staged[1])
+	groups := []struct {
+		name string
+		idx  []int
+	}{
+		{"w1 default", []int{1, 2, 6}},
+		{"w2 default", []int{4, 5}},
+		{"w1 single", []int{7}},
+	}
+	seen := map[*cluster.Result]string{}
+	for _, g := range groups {
+		res := precomputed(staged[g.idx[0]])
+		if res == nil {
+			t.Fatalf("%s: run %d has no clustering", g.name, g.idx[0])
+		}
+		if other, dup := seen[res]; dup {
+			t.Errorf("%s shares its clustering with %s", g.name, other)
+		}
+		seen[res] = g.name
+		for _, i := range g.idx[1:] {
+			if precomputed(staged[i]) != res {
+				t.Errorf("%s: run %d has a different clustering than run %d", g.name, i, g.idx[0])
+			}
+		}
+	}
+	for _, i := range []int{0, 3, 8} {
+		if precomputed(staged[i]) != nil {
+			t.Errorf("run %d (%s) got a clustering it never uses", i, staged[i].Scheme.Name())
+		}
+	}
+
+	col := telemetry.NewCollector(telemetry.NewRegistry())
+	counted := cfg
+	counted.Telemetry = col
+	rows := counted.RunAll(runs)
+	if got := col.ClusteringsTarget.Value(); got != int64(len(groups)) {
+		t.Errorf("clusterings target = %d, want %d", got, len(groups))
+	}
+	if got := col.ClusteringsCompleted.Value(); got != uint64(len(groups)) {
+		t.Errorf("clusterings completed = %d, want %d", got, len(groups))
+	}
+
+	w2Default, err := cluster.Run(w2, cluster.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w1Single, err := cluster.Run(w1, single)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byHand := slices.Clone(runs)
+	for _, g := range []struct {
+		res *cluster.Result
+		idx []int
+	}{{w1Default, []int{1, 2, 6}}, {w2Default, []int{4, 5}}, {w1Single, []int{7}}} {
+		for _, i := range g.idx {
+			byHand[i].Scheme = byHand[i].Scheme.(clusteringScheme).WithPrecomputed(g.res)
+		}
+	}
+	want := cfg.RunAll(byHand)
+	for i := range want {
+		if rows[i].Err != nil || want[i].Err != nil {
+			t.Fatalf("row %d: %v / %v", i, rows[i].Err, want[i].Err)
+		}
+		if rows[i].Stats != want[i].Stats || rows[i].TapesUsed != want[i].TapesUsed {
+			t.Errorf("row %d (%s) differs from the hand-clustered run", i, rows[i].Scheme)
+		}
 	}
 }

@@ -30,6 +30,20 @@ type ClusterProbability struct {
 // Name implements Scheme.
 func (s ClusterProbability) Name() string { return "cluster-probability" }
 
+// ClusteringNeeded reports the clustering Place computes: its
+// configuration, and false when Place computes none because Precomputed
+// is set.
+func (s ClusterProbability) ClusteringNeeded() (cluster.Config, bool) {
+	return s.Clustering, s.Precomputed == nil
+}
+
+// WithPrecomputed returns the scheme with res as its Precomputed
+// clustering; res must be the clustering ClusteringNeeded names.
+func (s ClusterProbability) WithPrecomputed(res *cluster.Result) Scheme {
+	s.Precomputed = res
+	return s
+}
+
 // Place implements Scheme.
 func (s ClusterProbability) Place(w *model.Workload, hw tape.Hardware) (*Result, error) {
 	k := s.K
@@ -40,9 +54,9 @@ func (s ClusterProbability) Place(w *model.Workload, hw tape.Hardware) (*Result,
 		return nil, err
 	}
 	res := s.Precomputed
-	if res == nil {
+	if cfg, ok := s.ClusteringNeeded(); ok {
 		var err error
-		if res, err = cluster.Run(w, s.Clustering); err != nil {
+		if res, err = cluster.Run(w, cfg); err != nil {
 			return nil, err
 		}
 	}

@@ -63,6 +63,23 @@ const DefaultSplitThreshold = 8 * units.GB
 // Name implements Scheme.
 func (s ParallelBatch) Name() string { return "parallel-batch" }
 
+// ClusteringNeeded reports the clustering Place computes: its
+// configuration (Clustering, with Parallel carried over), and false when
+// Place computes none because Precomputed is set or NoRefine skips
+// clustering.
+func (s ParallelBatch) ClusteringNeeded() (cluster.Config, bool) {
+	cfg := s.Clustering
+	cfg.Parallel = cfg.Parallel || s.Parallel
+	return cfg, s.Precomputed == nil && !s.NoRefine
+}
+
+// WithPrecomputed returns the scheme with res as its Precomputed
+// clustering; res must be the clustering ClusteringNeeded names.
+func (s ParallelBatch) WithPrecomputed(res *cluster.Result) Scheme {
+	s.Precomputed = res
+	return s
+}
+
 // unit is one indivisible allocation group: a refined cluster or a
 // singleton cold object.
 type unit struct {
@@ -246,9 +263,7 @@ func (s ParallelBatch) buildUnits(w *model.Workload, probs []float64) ([]unit, e
 		return out, nil
 	}
 	res := s.Precomputed
-	if res == nil {
-		cfg := s.Clustering
-		cfg.Parallel = cfg.Parallel || s.Parallel
+	if cfg, ok := s.ClusteringNeeded(); ok {
 		var err error
 		if res, err = cluster.Run(w, cfg); err != nil {
 			return nil, err

@@ -49,6 +49,14 @@ type Collector struct {
 	// SimTime is the high-water mark of the simulated clock across all
 	// systems feeding this collector.
 	SimTime *FloatGauge
+	// ClusteringsCompleted counts finished clusterings of a sweep's
+	// cluster stage (incremented by internal/experiments, not by trace
+	// events).
+	ClusteringsCompleted *Counter
+	// ClusteringsTarget is the planned total number of clusterings the
+	// sweep's cluster stage runs before its runs (gauge, set by
+	// internal/experiments). Zero outside sweeps.
+	ClusteringsTarget *Gauge
 	// RunsCompleted counts finished sweep runs (incremented by
 	// internal/experiments, not by trace events).
 	RunsCompleted *Counter
@@ -141,8 +149,12 @@ func NewCollector(reg *Registry) *Collector {
 		RobotWaitSeconds: reg.NewFloatCounter("tapesim_robot_wait_seconds_total", "summed robot queue wait time"),
 		RobotQueueDepth:  reg.NewGauge("tapesim_robot_queue_depth", "robot queue depth after the last contention event"),
 		SimTime:          reg.NewFloatGauge("tapesim_sim_time_seconds", "simulated clock high-water mark"),
-		RunsCompleted:    reg.NewCounter("tapesim_runs_completed_total", "finished experiment sweep runs"),
-		RunsTarget:       reg.NewGauge("tapesim_runs_target", "planned experiment sweep runs (0 = not a sweep)"),
+		ClusteringsCompleted: reg.NewCounter("tapesim_clusterings_completed_total",
+			"finished clusterings of experiment sweep cluster stages"),
+		ClusteringsTarget: reg.NewGauge("tapesim_clusterings_target",
+			"planned clusterings of experiment sweep cluster stages (0 = not a sweep)"),
+		RunsCompleted: reg.NewCounter("tapesim_runs_completed_total", "finished experiment sweep runs"),
+		RunsTarget:    reg.NewGauge("tapesim_runs_target", "planned experiment sweep runs (0 = not a sweep)"),
 		ResponseSeconds: reg.NewHistogram("tapesim_response_seconds",
 			"request response time distribution", HistogramOptions{}),
 		SwitchLatencySeconds: reg.NewHistogram("tapesim_switch_latency_seconds",

@@ -101,11 +101,13 @@ func TestProgressSweepLine(t *testing.T) {
 	c := NewCollector(reg)
 	c.RunsTarget.Set(6)
 	c.RunsCompleted.Add(2)
+	c.ClusteringsTarget.Set(3)
+	c.ClusteringsCompleted.Add(1)
 	p := StartProgress(ProgressOptions{Out: &strings.Builder{}, Interval: time.Hour, Collector: c})
 	defer p.Stop()
 	line := p.line(p.lastWall.Add(time.Second))
-	if !strings.Contains(line, "runs 2/6") {
-		t.Errorf("sweep line missing runs: %s", line)
+	if !strings.Contains(line, "clusterings 1/3 runs 2/6") {
+		t.Errorf("sweep line missing clusterings or runs: %s", line)
 	}
 }
 

@@ -10,7 +10,8 @@ import (
 
 // Progress periodically prints a one-line status of a running simulation
 // or sweep, derived from a Collector's counters: completed/total
-// requests, wall-clock event rate, simulated-time rate, and an ETA. It
+// clusterings and runs (sweeps only), completed/total requests,
+// wall-clock event rate, simulated-time rate, and an ETA. It
 // backs the -progress flag of cmd/tapesim and cmd/tapebench.
 //
 // The reporter only reads atomic counters; it never perturbs the
@@ -114,6 +115,9 @@ func (p *Progress) line(now time.Time) string {
 	p.lastWall, p.lastEvents, p.lastCompleted, p.lastSim = now, events, completed, sim
 
 	s := fmt.Sprintf("%s:", p.label)
+	if clTarget := p.col.ClusteringsTarget.Value(); clTarget > 0 {
+		s += fmt.Sprintf(" clusterings %d/%d", p.col.ClusteringsCompleted.Value(), clTarget)
+	}
 	if runsTarget := p.col.RunsTarget.Value(); runsTarget > 0 {
 		s += fmt.Sprintf(" runs %d/%d", p.col.RunsCompleted.Value(), runsTarget)
 	}
