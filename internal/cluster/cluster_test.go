@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"paralleltape/internal/model"
@@ -353,6 +355,60 @@ func BenchmarkClusterPaperScale(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(w, DefaultConfig()); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestCandHeapOrder drives the candidate heap through random pushes, pops,
+// root replacements and filters, checking after every step that the root
+// is the best remaining entry under candLess. Keys are drawn from small
+// ranges so ties on sim, and identical entries, are common.
+func TestCandHeapOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	draw := func() candidate {
+		return candidate{sim: float64(r.Intn(30)), ab: uint64(r.Intn(20))<<32 | uint64(r.Intn(20))}
+	}
+	var h candHeap
+	var ref []candidate // the same multiset, unordered
+	remove := func(c candidate) {
+		i := slices.Index(ref, c)
+		ref[i] = ref[len(ref)-1]
+		ref = ref[:len(ref)-1]
+	}
+	for step := 0; step < 20000; step++ {
+		switch op := r.Intn(20); {
+		case op < 10 || len(ref) == 0:
+			c := draw()
+			h.push(c)
+			ref = append(ref, c)
+		case op < 14:
+			remove(h[0])
+			h.pop()
+		case op < 19:
+			c := draw()
+			remove(h[0])
+			h.replaceTop(c)
+			ref = append(ref, c)
+		default:
+			odd := r.Intn(2) == 1
+			keep := func(c candidate) bool { return (c.ab&1 == 1) == odd || c.sim > 20 }
+			h.filter(keep)
+			ref = slices.DeleteFunc(ref, func(c candidate) bool { return !keep(c) })
+		}
+		if len(h) != len(ref) {
+			t.Fatalf("step %d: heap holds %d entries, want %d", step, len(h), len(ref))
+		}
+		if len(ref) == 0 {
+			continue
+		}
+		best := ref[0]
+		for _, c := range ref[1:] {
+			if candLess(c, best) {
+				best = c
+			}
+		}
+		if h[0] != best {
+			t.Fatalf("step %d: root %+v, best remaining %+v", step, h[0], best)
 		}
 	}
 }
