@@ -22,12 +22,14 @@
 // The whole pipeline runs on flat, index-addressed storage recycled across
 // calls through a scratch free list: object→request and request→atom
 // incidence as CSR index pairs, pairwise similarities as a sorted flat
-// entry slice aggregated by a single scan, and live-cluster adjacency as
-// sorted spans into one arena of int32 keys and 16-byte linkage-specific
-// payloads. A merge leaves the absorbed cluster's entries in other spans
-// as tombstones rather than shifting the spans; the arena is compacted in
-// place, live spans sliding down, when merges strand too many dead
-// entries. docs/PERFORMANCE.md ("Placement pipeline") sketches the layout
+// entry slice aggregated by a single scan, and live-cluster adjacency as an
+// edge table — one record per linked cluster pair, holding both endpoints
+// and the 16-byte linkage-specific aggregate — plus unordered spans of
+// edge ids in one int32 arena. A merge updates or retargets edge records
+// without searching or shifting any neighbor's span, and leaves the ids of
+// edges it kills in place; the arena is compacted in place, live spans
+// sliding down, when merges strand too many dead ids.
+// docs/PERFORMANCE.md ("Placement pipeline") sketches the layout
 // and the argument for why every transformation — including the optional
 // parallel edge aggregation behind Config.Parallel — reproduces the
 // original map-based results bit for bit. Run is safe for concurrent use;
@@ -549,7 +551,7 @@ func scanEntries(edges []pairEdge, entries []edgeEntry) []pairEdge {
 }
 
 // link is the pair aggregate between two live clusters, specialised to
-// the run's linkage so the adjacency arena carries 16 bytes per entry:
+// the run's linkage so an edge record carries 16 bytes of it:
 //
 //   - Average: v is Σ over cross object pairs of their similarity;
 //   - Single: v is the maximum pair similarity;
@@ -557,18 +559,11 @@ func scanEntries(edges []pairEdge, entries []edgeEntry) []pairEdge {
 //     cross object pairs with nonzero similarity (a pair with zero
 //     similarity drags the minimum to zero).
 //
-// pairs is zero for the other linkages. A negative pairs marks a
-// tombstone: the entry of a neighbor that was absorbed by another cluster,
-// left in place instead of being shifted out of its span.
+// pairs is zero for the other linkages.
 type link struct {
 	v     float64
 	pairs int64
 }
-
-// tombstone is the payload of a dead adjacency entry.
-var tombstone = link{pairs: -1}
-
-func (li link) dead() bool { return li.pairs < 0 }
 
 // initLink is the aggregate of the sizeA×sizeB cross pairs between two
 // atoms, every one of which has similarity sim.
@@ -619,15 +614,15 @@ func mergeLink(l Linkage, x, y link) link {
 }
 
 // candidate is a heap entry proposing to merge clusters a and b at
-// linkage similarity sim. It carries no version stamps: when it surfaces,
-// it is dropped if a or b has been absorbed, and otherwise the pair's
-// candidate is re-derived from the clusters as they are then, the entry
-// being stale exactly when the two differ (see the merge loop in
-// agglomerateInto). That keeps it at 16 bytes, a third less heap to
-// sift through than with two int32 stamps and padding.
+// linkage similarity sim, for the edge e that linked them when it was
+// proposed. It carries no version stamps: when it surfaces, it is dropped
+// if a or b has been absorbed, and otherwise the pair's candidate is
+// re-derived from edge e as it is then, the entry being stale exactly
+// when the two differ (see the merge loop in agglomerateInto).
 type candidate struct {
 	sim float64
 	ab  uint64 // packed pair a<<32 | b; one compare breaks (a, b) ties
+	e   int32
 }
 
 func (c candidate) pair() (int32, int32) {
@@ -640,10 +635,11 @@ func (c candidate) pair() (int32, int32) {
 // four children of a node sit in at most two cache lines).
 //
 // Heap shape does not affect the merge sequence: candLess is strict on
-// (sim, a, b), so pop order is fully determined up to identical entries,
-// and which of two identical entries surfaces first cannot matter
-// (TestRunMatchesReference pins this against the reference
-// implementation's binary heap).
+// (sim, a, b), so pop order is fully determined up to entries equal on
+// those keys. Such entries are identical, e included — two clusters stay
+// joined by the same edge for as long as both are roots — and which of two
+// identical entries surfaces first cannot matter (TestRunMatchesReference
+// pins this against the reference implementation's binary heap).
 type candHeap []candidate
 
 // candLess orders by descending sim, then ascending packed pair — the
@@ -734,39 +730,43 @@ func (h *candHeap) filter(keep func(candidate) bool) {
 	}
 }
 
-// The adjacency arena stores neighbor records as two parallel arrays: the
-// neighbor cluster indices (nbrs, the search keys) and the pair aggregates
-// (links, the payloads). A live cluster's neighbors occupy one nbr-sorted
-// span [adjOff, adjOff+adjLen) of both arrays, so lookups are binary
-// searches and the deterministic "fold b's neighbors in ascending key
-// order" of the old map implementation becomes a linear merge walk.
-// Splitting keys from the payloads keeps the searched data dense — sixteen
-// int32 keys per cache line — which is most of the lookup cost at ~10^5
-// searches per run.
+// The edge table holds one record per linked pair of live clusters: its
+// two endpoints and their pair aggregate, stored once for both sides. A
+// live cluster's adjacency is the span [adjOff, adjOff+adjLen) of one
+// int32 arena, holding the ids of its edges in no particular order; seen
+// from endpoint k, the other end of edge e is u^v^k. A merge therefore
+// updates a shared neighbor by writing the one record both spans name, and
+// never searches or shifts a neighbor's span.
 //
-// A span may hold tombstones (see link): when b is absorbed, a shared
-// neighbor's entry for b stays where it is, dead, instead of shifting the
-// rest of the span down. b's index is never searched again (searches only
-// ever name live roots), so a tombstone costs nothing but its slot until
-// union rewrites the span or compaction drops it.
+// An edge dies when one of its endpoints is absorbed and the surviving
+// cluster already had an edge to the other endpoint, or when its two
+// endpoints merge. Its id stays in the spans that hold it, skipped by
+// every walk, until union rewrites the span or compaction drops it.
+
+// edge is one record of the edge table; u < 0 marks a dead edge.
+type edge struct {
+	u, v int32
+	li   link
+}
 
 // liveCluster is one active cluster during agglomeration. Member atoms are
 // kept as an intrusive linked list through agg.atomNext (head/tail splice
-// on merge, no copying); neighbors are the arena span [adjOff, adjOff+adjLen),
-// of which deg entries are live.
+// on merge, no copying); its edge ids are the arena span
+// [adjOff, adjOff+adjLen), of which deg name live edges.
 type liveCluster struct {
 	objects  int64 // object count
 	bytes    int64
 	cohesion float64 // linkage value of the last merge
 	adjOff   int32
 	adjLen   int32
-	deg      int32 // live neighbors (adjLen minus tombstones)
+	deg      int32 // live edges (adjLen minus dead ones)
 	atomHead int32
 	atomTail int32
 	alive    bool
 }
 
-// agg bundles the agglomeration state so merge steps can be methods.
+// agg bundles the agglomeration state so merge steps can be methods. It
+// lives in the scratch: every slice is a buffer recycled across runs.
 type agg struct {
 	cfg      Config
 	words    int // request-bitset words per cluster
@@ -774,12 +774,18 @@ type agg struct {
 	parent   []int32 // union-find with path halving
 	atomNext []int32
 	bits     []uint64
-	nbrs     []int32 // adjacency keys (parallel to links)
-	links    []link  // adjacency payloads
-	order    []int32 // compaction scratch: spans in arena order
-	live     int     // live entries in the arena (for the compaction trigger)
-	heap     *candHeap
+	edges    []edge  // the edge table
+	adj      []int32 // adjacency arena of edge ids
+	// mark[k] is b's edge to k while union(a, b) runs, -1 otherwise.
+	mark  []int32
+	order []int32 // compaction scratch: spans in arena order
+	live  int     // live entries in the arena (for the compaction trigger)
+	heap  candHeap
 }
+
+// unionHook, when set, runs after every union; tests use it to check the
+// edge-table invariants mid-agglomeration.
+var unionHook func(*agg)
 
 func (g *agg) find(x int32) int32 {
 	for g.parent[x] != x {
@@ -789,42 +795,10 @@ func (g *agg) find(x int32) int32 {
 	return x
 }
 
-// lowerBound returns the first index in the sorted keys not less than nbr.
-// The halving loop has a data-independent trip count and a conditional
-// move instead of a branch: the probes of an adjacency search are
-// unpredictable, so a mispredicted branch per step cost more than the
-// comparisons themselves.
-func lowerBound(keys []int32, nbr int32) int {
-	n := len(keys)
-	if n == 0 {
-		return 0
-	}
-	base := 0
-	for n > 1 {
-		half := n >> 1
-		if keys[base+half] < nbr {
-			base += half
-		}
-		n -= half
-	}
-	if keys[base] < nbr {
-		base++
-	}
-	return base
-}
-
-// findKey returns the index of nbr within the sorted keys, or -1.
-func findKey(keys []int32, nbr int32) int {
-	if lo := lowerBound(keys, nbr); lo < len(keys) && keys[lo] == nbr {
-		return lo
-	}
-	return -1
-}
-
 // candidateFor returns the merge candidate for live clusters a and b (any
-// order) whose current link aggregate is li; ok is false if the linkage
-// value misses the threshold or the caps forbid the union.
-func (g *agg) candidateFor(a, b int32, li link) (c candidate, ok bool) {
+// order) joined by edge e; ok is false if the linkage value misses the
+// threshold or the caps forbid the union.
+func (g *agg) candidateFor(a, b, e int32) (c candidate, ok bool) {
 	if a > b {
 		a, b = b, a
 	}
@@ -832,7 +806,7 @@ func (g *agg) candidateFor(a, b int32, li link) (c candidate, ok bool) {
 	if !ca.alive || !cb.alive {
 		return c, false
 	}
-	sim := li.value(g.cfg.Linkage, ca.objects, cb.objects)
+	sim := g.edges[e].li.value(g.cfg.Linkage, ca.objects, cb.objects)
 	if sim < g.cfg.Threshold {
 		return c, false
 	}
@@ -842,106 +816,24 @@ func (g *agg) candidateFor(a, b int32, li link) (c candidate, ok bool) {
 	if g.cfg.MaxBytes > 0 && ca.bytes+cb.bytes > g.cfg.MaxBytes {
 		return c, false
 	}
-	return candidate{sim: sim, ab: uint64(uint32(a))<<32 | uint64(uint32(b))}, true
+	return candidate{sim: sim, ab: uint64(uint32(a))<<32 | uint64(uint32(b)), e: e}, true
 }
 
 // propose pushes the merge candidate for a and b, if there is one.
-func (g *agg) propose(a, b int32, li link) {
-	if c, ok := g.candidateFor(a, b, li); ok {
+func (g *agg) propose(a, b, e int32) {
+	if c, ok := g.candidateFor(a, b, e); ok {
 		g.heap.push(c)
 	}
 }
 
-// refresh returns the current candidate for the live roots a < b from
-// their stored adjacency; ok is false if they are no longer linked or
-// candidateFor refuses the pair.
-func (g *agg) refresh(a, b int32) (candidate, bool) {
-	cl := &g.clusters[a]
-	p := findKey(g.nbrs[cl.adjOff:cl.adjOff+cl.adjLen], b)
-	if p < 0 {
-		return candidate{}, false
-	}
-	return g.candidateFor(a, b, g.links[int(cl.adjOff)+p])
-}
-
-// renameNbr rewrites k's entry for old to refer to new with aggregate li,
-// keeping k's span sorted. new must not already be present in the span
-// (guaranteed: renames happen only for neighbors adjacent to exactly one
-// of the merging pair) and old must be dead (it is the absorbed cluster).
-// old's slot becomes a tombstone where it stands and new goes in at its
-// sorted slot, shifting by one only the entries between that slot and the
-// nearest tombstone on old's side — usually a few records rather than
-// every record between old and new (old's own slot is the farthest hole).
-func (g *agg) renameNbr(k, old, new int32, li link) {
-	cl := &g.clusters[k]
-	off, n := int(cl.adjOff), int(cl.adjLen)
-	keys := g.nbrs[off : off+n]
-	lis := g.links[off : off+n]
-	po := findKey(keys, old)
-	if new > old {
-		lb := po + 1 + lowerBound(keys[po+1:], new) // new goes just before lb
-		hole := lb - 1
-		for hole > po && !lis[hole].dead() {
-			hole--
+// appendLive appends the ids of span's live edges to the arena tail. The
+// span may lie in the arena itself at or beyond the tail (compaction):
+// each id is read before the tail can reach its slot.
+func (g *agg) appendLive(span []int32) {
+	for _, e := range span {
+		if g.edges[e].u >= 0 {
+			g.adj = append(g.adj, e)
 		}
-		copy(keys[hole:lb-1], keys[hole+1:lb])
-		copy(lis[hole:lb-1], lis[hole+1:lb])
-		keys[lb-1], lis[lb-1] = new, li
-		if hole != po {
-			lis[po] = tombstone
-		}
-		return
-	}
-	lb := lowerBound(keys[:po], new) // new goes at lb
-	hole := lb
-	for hole < po && !lis[hole].dead() {
-		hole++
-	}
-	copy(keys[lb+1:hole+1], keys[lb:hole])
-	copy(lis[lb+1:hole+1], lis[lb:hole])
-	keys[lb], lis[lb] = new, li
-	if hole != po {
-		lis[po] = tombstone
-	}
-}
-
-// mergeNbr collapses k's entries for the merging pair (a absorbs b): a's
-// entry takes the merged aggregate li and b's entry becomes a tombstone.
-func (g *agg) mergeNbr(k, a, b int32, li link) {
-	cl := &g.clusters[k]
-	off, n := int(cl.adjOff), int(cl.adjLen)
-	keys := g.nbrs[off : off+n]
-	pa := findKey(keys, a)
-	var pb int
-	if b > a {
-		pb = pa + 1 + lowerBound(keys[pa+1:], b)
-	} else {
-		pb = lowerBound(keys[:pa], b)
-	}
-	g.links[off+pa] = li
-	g.links[off+pb] = tombstone
-	cl.deg--
-	g.live--
-}
-
-// appendLive appends the live entries of one span segment, except the one
-// keyed skip, to the arena tail as bulk runs. The segment may lie in the
-// arena itself at or beyond the tail (compaction): append copies with
-// memmove, and each run lands before the next one is read.
-func (g *agg) appendLive(keys []int32, lis []link, skip int32) {
-	for i := 0; i < len(keys); {
-		if keys[i] == skip || lis[i].dead() {
-			i++
-			continue
-		}
-		j := i + 1
-		for j < len(keys) && keys[j] != skip && !lis[j].dead() {
-			j++
-		}
-		g.nbrs = append(g.nbrs, keys[i:j]...)
-		g.links = append(g.links, lis[i:j]...)
-		g.live += j - i
-		i = j
 	}
 }
 
@@ -949,27 +841,24 @@ func (g *agg) appendLive(keys []int32, lis []link, skip int32) {
 // arena backing mid-merge. When at least half the arena is dead it
 // compacts in place, otherwise it grows.
 func (g *agg) ensure(need int) {
-	if len(g.nbrs)+need <= cap(g.nbrs) {
+	if len(g.adj)+need <= cap(g.adj) {
 		return
 	}
-	if g.live <= len(g.nbrs)/2 {
+	if g.live <= len(g.adj)/2 {
 		g.compact()
-		if len(g.nbrs)+need <= cap(g.nbrs) {
+		if len(g.adj)+need <= cap(g.adj) {
 			return
 		}
 	}
-	grownN := make([]int32, len(g.nbrs), 2*cap(g.nbrs)+need)
-	grownL := make([]link, len(g.links), 2*cap(g.nbrs)+need)
-	copy(grownN, g.nbrs)
-	copy(grownL, g.links)
-	g.nbrs, g.links = grownN, grownL
+	grown := make([]int32, len(g.adj), 2*cap(g.adj)+need)
+	copy(grown, g.adj)
+	g.adj = grown
 }
 
 // compact slides every live span down to the front of the arena in arena
-// order, dropping tombstones and the spans of absorbed clusters, by
-// re-appending the live runs to the emptied arena. A run never moves up
-// (everything before it shrinks or stays), so each copy is an in-place
-// memmove and no second arena is needed.
+// order, dropping dead edge ids and the spans of absorbed clusters, by
+// re-appending the live ids to the emptied arena. A span never moves up
+// (everything before it shrinks or stays), so no second arena is needed.
 func (g *agg) compact() {
 	order := g.order[:0]
 	for i := range g.clusters {
@@ -980,24 +869,26 @@ func (g *agg) compact() {
 	slices.SortFunc(order, func(x, y int32) int {
 		return cmp.Compare(g.clusters[x].adjOff, g.clusters[y].adjOff)
 	})
-	nbrs, links := g.nbrs, g.links
-	g.nbrs, g.links, g.live = nbrs[:0], links[:0], 0
+	adj := g.adj
+	g.adj = adj[:0]
 	for _, ci := range order {
 		c := &g.clusters[ci]
-		start := len(g.nbrs)
-		g.appendLive(nbrs[c.adjOff:c.adjOff+c.adjLen], links[c.adjOff:c.adjOff+c.adjLen], -1)
-		c.adjOff, c.adjLen = int32(start), int32(len(g.nbrs)-start)
+		start := len(g.adj)
+		g.appendLive(adj[c.adjOff : c.adjOff+c.adjLen])
+		c.adjOff, c.adjLen = int32(start), int32(len(g.adj)-start)
 	}
+	g.live = len(g.adj)
 	g.order = order
 }
 
 // union merges cluster b into a (a keeps its index), assuming a, b are live
-// roots and the caller already validated the merge. The new adjacency span
-// for a is written at the arena tail by a linear merge of a's and b's live
-// entries in ascending neighbor order; for each neighbor taken from b's
-// side the reverse edge is retargeted and the refreshed pair proposed — the
-// same visit order, aggregate values, and heap pushes as the old map fold
-// over b's sorted keys.
+// roots and the caller already validated the merge. a's new span is written
+// at the arena tail: a's live edges first, then b's edges to neighbors a
+// did not have, retargeted to a. For a neighbor both had, a's edge takes
+// the merged aggregate (a's first, as in the reference fold) and b's edge
+// dies. Every pair whose link changed is proposed — the same set of heap
+// pushes as the reference, in another order, which the strict heap order
+// makes irrelevant.
 func (g *agg) union(a, b int32, sim float64) {
 	ca, cb := &g.clusters[a], &g.clusters[b]
 	// Reserve arena room first: a compaction here still sees both spans as
@@ -1017,98 +908,88 @@ func (g *agg) union(a, b int32, sim float64) {
 	cb.alive = false
 
 	l := g.cfg.Linkage
-	ka := g.nbrs[ca.adjOff : ca.adjOff+ca.adjLen]
-	la := g.links[ca.adjOff : ca.adjOff+ca.adjLen]
-	kb := g.nbrs[cb.adjOff : cb.adjOff+cb.adjLen]
-	lb := g.links[cb.adjOff : cb.adjOff+cb.adjLen]
-	base := len(g.nbrs)
-	g.live -= int(ca.deg) + int(cb.deg)
-	ia, ib := 0, 0
-	for ia < len(ka) && ib < len(kb) {
-		if kb[ib] == a || lb[ib].dead() {
-			ib++
+	spanA := g.adj[ca.adjOff : ca.adjOff+ca.adjLen]
+	spanB := g.adj[cb.adjOff : cb.adjOff+cb.adjLen]
+	// Mark b's neighbors with b's edge to them; the a–b edge dies.
+	for _, e := range spanB {
+		ed := &g.edges[e]
+		if ed.u < 0 {
 			continue
 		}
-		switch {
-		case ka[ia] < kb[ib]:
-			// Run of a-only neighbors (and dead entries): aggregates
-			// unchanged and no side effects, so the live part of the run up
-			// to the next b-side key is bulk-copied. a is the larger
-			// adjacency, so this is the common case.
-			run := ia + 1
-			for run < len(ka) && ka[run] < kb[ib] {
-				run++
-			}
-			g.appendLive(ka[ia:run], la[ia:run], b)
-			ia = run
-		case kb[ib] < ka[ia]:
-			// Neighbor of b only: a inherits the aggregate; retarget the
-			// reverse edge and propose the refreshed pair.
-			k, li := kb[ib], lb[ib]
-			g.nbrs = append(g.nbrs, k)
-			g.links = append(g.links, li)
-			g.live++
-			g.renameNbr(k, b, a, li)
-			g.propose(a, k, li)
-			ib++
-		default:
-			// Shared neighbor. b's entry is live, so k is alive and a's
-			// entry is live too (a key dies in every span at once). Merge
-			// the aggregates (a's first, matching the old fold's
-			// mergeLink(prev, li) argument order).
-			k := ka[ia]
-			li := mergeLink(l, la[ia], lb[ib])
-			g.nbrs = append(g.nbrs, k)
-			g.links = append(g.links, li)
-			g.live++
-			g.mergeNbr(k, a, b, li)
-			g.propose(a, k, li)
-			ia++
-			ib++
+		if k := ed.u ^ ed.v ^ b; k != a {
+			g.mark[k] = e
+		} else {
+			ed.u = -1
 		}
 	}
-	// a's tail: bulk runs around b's entry and any tombstones.
-	g.appendLive(ka[ia:], la[ia:], b)
-	// b's tail: still needs the per-entry retarget and refresh.
-	for ; ib < len(kb); ib++ {
-		if kb[ib] == a || lb[ib].dead() {
+	base := len(g.adj)
+	g.live -= int(ca.deg) + int(cb.deg)
+	for _, e := range spanA {
+		ed := &g.edges[e]
+		if ed.u < 0 {
 			continue
 		}
-		k, li := kb[ib], lb[ib]
-		g.nbrs = append(g.nbrs, k)
-		g.links = append(g.links, li)
-		g.live++
-		g.renameNbr(k, b, a, li)
-		g.propose(a, k, li)
+		g.adj = append(g.adj, e)
+		k := ed.u ^ ed.v ^ a
+		if eb := g.mark[k]; eb >= 0 {
+			// Shared neighbor: fold b's aggregate into a's edge and kill
+			// b's, which k's span then skips.
+			ed.li = mergeLink(l, ed.li, g.edges[eb].li)
+			g.edges[eb].u = -1
+			g.mark[k] = -1
+			g.clusters[k].deg--
+			g.live--
+			g.propose(a, k, e)
+		}
+	}
+	for _, e := range spanB {
+		ed := &g.edges[e]
+		if ed.u < 0 {
+			continue
+		}
+		// Neighbor of b only: a inherits the edge.
+		k := ed.u ^ ed.v ^ b
+		ed.u, ed.v = a, k
+		g.mark[k] = -1
+		g.adj = append(g.adj, e)
+		g.propose(a, k, e)
 	}
 	ca.adjOff = int32(base)
-	ca.adjLen = int32(len(g.nbrs) - base)
+	ca.adjLen = int32(len(g.adj) - base)
 	ca.deg = ca.adjLen
+	g.live += int(ca.deg)
 	cb.adjLen, cb.deg = 0, 0
 }
 
 func agglomerateInto(w *model.Workload, atoms []atom, cfg Config, s *scratch, workers int) []Cluster {
 	nReq := len(w.Requests)
 	words := (nReq + 63) / 64
-	edges := buildEdgesInto(w, atoms, s, workers)
+	pairs := buildEdgesInto(w, atoms, s, workers)
 	n := len(atoms)
 
 	// Pre-count adjacency degrees so every span is born at its final
 	// initial size inside one arena.
 	degree := growI32(s.degree, n)
-	for _, e := range edges {
-		degree[e.a]++
-		degree[e.b]++
+	s.degree = degree
+	for _, p := range pairs {
+		degree[p.a]++
+		degree[p.b]++
 	}
-	clusters := growSlice(s.clusters, n)
-	atomNext := growSlice(s.atomNext, n)
-	parent := growSlice(s.parent, n)
-	bitsArena := growSlice(s.bits, words*n)
+	// The state lives in the scratch, so its buffers are recycled in place.
+	g := &s.agg
+	g.cfg, g.words, g.live = cfg, words, 2*len(pairs)
+	clusters := growSlice(g.clusters, n)
+	atomNext := growSlice(g.atomNext, n)
+	parent := growSlice(g.parent, n)
+	mark := growSlice(g.mark, n)
+	bitsArena := growSlice(g.bits, words*n)
 	for i := range bitsArena {
 		bitsArena[i] = 0
 	}
-	nbrs := growSlice(s.nbrs, 2*len(edges))
-	links := growSlice(s.links, 2*len(edges))
+	edges := growSlice(g.edges, len(pairs))
+	adj := growSlice(g.adj, 2*len(pairs))
+	g.clusters, g.atomNext, g.parent, g.mark = clusters, atomNext, parent, mark
+	g.bits, g.edges, g.adj = bitsArena, edges, adj
 	off := int32(0)
 	for i := range atoms {
 		clusters[i] = liveCluster{
@@ -1125,6 +1006,7 @@ func agglomerateInto(w *model.Workload, atoms []atom, cfg Config, s *scratch, wo
 		off += degree[i]
 		atomNext[i] = -1
 		parent[i] = int32(i)
+		mark[i] = -1
 		cw := bitsArena[i*words : (i+1)*words]
 		for _, r := range atoms[i].reqs {
 			cw[int(r)/64] |= 1 << (uint(r) % 64)
@@ -1132,36 +1014,32 @@ func agglomerateInto(w *model.Workload, atoms []atom, cfg Config, s *scratch, wo
 	}
 	// The heap sees at most one initial proposal per edge plus lazy
 	// refreshes; starting at edge capacity removes nearly all regrowth.
-	if cap(s.heap) < len(edges) {
-		s.heap = make(candHeap, 0, len(edges))
+	if cap(g.heap) < len(pairs) {
+		g.heap = make(candHeap, 0, len(pairs))
 	}
-	s.heap = s.heap[:0]
+	g.heap = g.heap[:0]
 
-	g := &agg{
-		cfg: cfg, words: words,
-		clusters: clusters, parent: parent, atomNext: atomNext,
-		bits: bitsArena, nbrs: nbrs, links: links, order: s.order,
-		live: 2 * len(edges), heap: &s.heap,
-	}
-	// Initial fill: edges are sorted by (a, b), so filling both directions
-	// in edge order leaves every span sorted by neighbor.
 	cur := growSlice(s.cursor, n)
 	for i := range clusters {
 		cur[i] = clusters[i].adjOff
 	}
-	for _, e := range edges {
-		li := initLink(cfg.Linkage, e.sim, clusters[e.a].objects, clusters[e.b].objects)
-		g.nbrs[cur[e.a]], g.links[cur[e.a]] = int32(e.b), li
-		cur[e.a]++
-		g.nbrs[cur[e.b]], g.links[cur[e.b]] = int32(e.a), li
-		cur[e.b]++
-		g.propose(int32(e.a), int32(e.b), li)
+	for i, p := range pairs {
+		e := int32(i)
+		edges[e] = edge{
+			u: int32(p.a), v: int32(p.b),
+			li: initLink(cfg.Linkage, p.sim, clusters[p.a].objects, clusters[p.b].objects),
+		}
+		adj[cur[p.a]] = e
+		cur[p.a]++
+		adj[cur[p.b]] = e
+		cur[p.b]++
+		g.propose(int32(p.a), int32(p.b), e)
 	}
 	s.cursor = cur
 
 	dead := 0
-	for len(*g.heap) > 0 {
-		c := (*g.heap)[0]
+	for len(g.heap) > 0 {
+		c := g.heap[0]
 		pa, pb := c.pair()
 		// Invariant: every pair of linked live clusters that may merge has
 		// an entry keyed at or above its current (sim, pair) — union
@@ -1178,7 +1056,7 @@ func agglomerateInto(w *model.Workload, atoms []atom, cfg Config, s *scratch, wo
 			// Most pops are such dead entries, each a full sift from the
 			// root. Once a quarter of the heap's length has been popped
 			// dead, sweep out the rest in one linear pass.
-			if dead++; dead > len(*g.heap)/4 {
+			if dead++; dead > len(g.heap)/4 {
 				g.heap.filter(func(c candidate) bool {
 					pa, pb := c.pair()
 					return g.parent[pa] == pa && g.parent[pb] == pb
@@ -1187,11 +1065,11 @@ func agglomerateInto(w *model.Workload, atoms []atom, cfg Config, s *scratch, wo
 			}
 			continue
 		}
-		// Both endpoints are roots. Their link and sizes change only when
-		// one of them absorbs another; then the entry is stale and the
-		// refreshed candidate takes its place, or it is dropped if there
-		// is none.
-		nc, ok := g.refresh(a, b)
+		// Both endpoints are roots, so the entry's edge is alive and joins
+		// exactly them. Their link and sizes change only when one of them
+		// absorbs another; then the entry is stale and the refreshed
+		// candidate takes its place, or it is dropped if there is none.
+		nc, ok := g.candidateFor(a, b, c.e)
 		if !ok {
 			g.heap.pop()
 			continue
@@ -1203,19 +1081,18 @@ func agglomerateInto(w *model.Workload, atoms []atom, cfg Config, s *scratch, wo
 		g.heap.pop()
 		ca, cb := &clusters[a], &clusters[b]
 		// Merge the smaller adjacency into the larger, by live degree (the
-		// old map's len(neighbors)); span length would count tombstones
+		// old map's len(neighbors)); span length would count dead edges
 		// and change tie-breaks.
 		if cb.deg > ca.deg {
 			a, b = b, a
 		}
 		g.union(a, b, c.sim)
+		if unionHook != nil {
+			unionHook(g)
+		}
 	}
 
-	// Write the scratch-owned state back (the arena may have been regrown)
-	// before materializing the freshly allocated output.
-	s.clusters, s.parent, s.atomNext = g.clusters, g.parent, g.atomNext
-	s.bits, s.degree = g.bits, degree
-	s.nbrs, s.links, s.order = g.nbrs, g.links, g.order
+	// Materialize the freshly allocated output.
 
 	nAlive, totObjs := 0, 0
 	for i := range clusters {

@@ -346,16 +346,30 @@ func TestGeneratedWorkloadClusterQuality(t *testing.T) {
 	}
 }
 
+// BenchmarkClusterPaperScale times Run on the paper-scale workload under
+// each linkage, plus one capped config whose refusals take their own path.
 func BenchmarkClusterPaperScale(b *testing.B) {
 	w, err := workload.Generate(workload.Defaults(), rng.New(1))
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(w, DefaultConfig()); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"average", Config{Linkage: Average}},
+		{"single", Config{Linkage: Single}},
+		{"complete", Config{Linkage: Complete}},
+		{"average-max64", Config{Linkage: Average, MaxObjects: 64}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(w, bc.cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

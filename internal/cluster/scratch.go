@@ -34,16 +34,10 @@ type scratch struct {
 	chunkCounts [][]int32
 	edges       []pairEdge
 
-	// agglomerate: cluster table, adjacency arena, request bitsets, heap.
-	clusters []liveCluster
-	degree   []int32
-	parent   []int32
-	atomNext []int32
-	bits     []uint64
-	nbrs     []int32
-	links    []link
-	order    []int32
-	heap     candHeap
+	// agglomerate: initial degrees, and the merge state (cluster table,
+	// edge table and its arena of edge ids, request bitsets, heap).
+	degree []int32
+	agg    agg
 }
 
 // The free list is a mutex-guarded stack rather than a sync.Pool: pool

@@ -373,3 +373,44 @@ func TestDisabledProfileStaysInline(t *testing.T) {
 		t.Error("a disabled fault profile changed the healthy trace")
 	}
 }
+
+// TestAbandonedRetryPumpsQueuedWork covers the abandon branch of the retry
+// path: when the library's last alive drive fails serving a group that has
+// used up its retry budget, the group is abandoned and the library must
+// still be pumped, so a group queued behind it stalls on the drive's repair
+// rather than stranding the request.
+func TestAbandonedRetryPumpsQueuedWork(t *testing.T) {
+	hw := testHW()
+	pl := manualPlacement(t, hw, 2,
+		map[tape.Key][]objSpec{
+			{Library: 0, Index: 0}: {{0, 100}},
+			{Library: 0, Index: 1}: {{1, 100}},
+		},
+		nil, nil, nil)
+	// Drive 0 is failed by hand, leaving drive 1 the library's only one.
+	// Drive 1 takes tape 0 (switch 5 s, transfer 5–15 s) and fails at 6 s;
+	// after its repair at 10 s the retried group goes first (switch 10–15 s)
+	// and the second failure, at 20 s, exhausts the one allowed retry while
+	// tape 1's group is still queued.
+	prof := &faults.Profile{DriveOutages: []faults.DriveOutage{
+		{Library: 0, Drive: 1, At: 6, Duration: 4},
+		{Library: 0, Drive: 1, At: 20, Duration: 30},
+	}}
+	s, err := NewWithOptions(hw, pl, Options{Faults: prof, MaxRetries: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.FailDrive(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	m, err := s.Submit(req(0, 0, 1))
+	if err != nil {
+		t.Fatalf("abandoned retry must degrade the request, not error: %v", err)
+	}
+	if m.FailedGroups != 1 || m.FailedBytes != 100 {
+		t.Errorf("want tape 0's 100 B group abandoned, got %+v", m)
+	}
+	if m.BytesServed != 100 {
+		t.Errorf("BytesServed = %d, want 100 from tape 1 after the repair", m.BytesServed)
+	}
+}

@@ -221,13 +221,17 @@ func (sh *shard) failGroup(g catalog.TapeGroup) {
 
 // retryGroup re-dispatches a fault-interrupted group: after the configured
 // backoff it joins the library's retry queue and an idle surviving drive
-// picks it up. Past the retry bound the group is abandoned. span is the
-// trace span of the failed operation, so the retry edge links the
-// abandoned chain to its successor in span reconstruction.
+// picks it up. Past the retry bound the group is abandoned, and the library
+// is pumped: the interrupted drive may have been its last alive one, and
+// groups still queued there must stall on a repair or be abandoned too
+// rather than wait for a drive that never pulls them. span is the trace
+// span of the failed operation, so the retry edge links the abandoned
+// chain to its successor in span reconstruction.
 func (sh *shard) retryGroup(g catalog.TapeGroup, attempts int, span int64) {
 	s := sh.sys
 	if attempts+1 > s.maxRetries() {
 		sh.failGroup(g)
+		sh.pump(g.Tape.Library)
 		return
 	}
 	sh.retries++
