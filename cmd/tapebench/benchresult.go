@@ -151,11 +151,13 @@ func setBenchtime(v string) error {
 // end-to-end placement
 // cost, placement-cluster / placement-organpipe / placement-loadbalance
 // isolate the pipeline's three stages (§5.1 clustering, §5.3 step 6
-// alignment, §5.4 balancing), and engine-schedule / engine-schedule-skewed
-// / engine-schedule-churn isolate the event-queue kernel (uniform deadlines,
-// a near/far mix, and a standing population migrating through the ladder
-// queue's tiers; all mirror the benchmarks in internal/sim and must stay at
-// zero allocs/op).
+// alignment, §5.4 balancing), placement-cluster-full clusters the
+// paper-scale workload at any configured scale (clustering cost grows
+// superlinearly, so the quick scale hides it), and engine-schedule /
+// engine-schedule-skewed / engine-schedule-churn isolate the event-queue
+// kernel (uniform deadlines, a near/far mix, and a standing population
+// migrating through the ladder queue's tiers; all mirror the benchmarks
+// in internal/sim and must stay at zero allocs/op).
 func measureBenchmarks(cfg paralleltape.ExperimentConfig) ([]benchMeasurement, error) {
 	w, err := paralleltape.GenerateWorkload(benchParams(cfg), cfg.Seed)
 	if err != nil {
@@ -211,14 +213,20 @@ func measureBenchmarks(cfg paralleltape.ExperimentConfig) ([]benchMeasurement, e
 			}
 		}
 	}
-	clusterStage := func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := cluster.Run(w, cluster.DefaultConfig()); err != nil {
-				opErr = err
-				b.FailNow()
+	clusterOn := func(w *paralleltape.Workload) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := cluster.Run(w, cluster.DefaultConfig()); err != nil {
+					opErr = err
+					b.FailNow()
+				}
 			}
 		}
+	}
+	fullW, err := paralleltape.GenerateWorkload(paralleltape.DefaultWorkloadParams(), cfg.Seed)
+	if err != nil {
+		return nil, err
 	}
 	// Alignment stage: organ-pipe one tape-sized item list drawn from the
 	// workload's probability profile.
@@ -334,7 +342,8 @@ func measureBenchmarks(cfg paralleltape.ExperimentConfig) ([]benchMeasurement, e
 		{"simulate-request-shards4", "1s", submit(sharded4, nil)},
 		{"simulate-throughput", "1s", throughput},
 		{"placement-parallel-batch", "30x", place},
-		{"placement-cluster", "30x", clusterStage},
+		{"placement-cluster", "30x", clusterOn(w)},
+		{"placement-cluster-full", "3x", clusterOn(fullW)},
 		{"placement-organpipe", "1s", organStage},
 		{"placement-loadbalance", "1s", balanceStage},
 		{"engine-schedule", "1s", engSchedule},

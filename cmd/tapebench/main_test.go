@@ -95,7 +95,8 @@ func TestBenchResultJSON(t *testing.T) {
 		"simulate-request-shards2", "simulate-request-shards4",
 		"simulate-throughput",
 		"placement-parallel-batch", "placement-cluster",
-		"placement-organpipe", "placement-loadbalance",
+		"placement-cluster-full", "placement-organpipe",
+		"placement-loadbalance",
 		"engine-schedule", "engine-schedule-skewed",
 		"engine-schedule-churn"}
 	if len(res.Benchmarks) != len(wantNames) {

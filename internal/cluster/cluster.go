@@ -27,8 +27,13 @@
 // and the 16-byte linkage-specific aggregate — plus unordered spans of
 // edge ids in one int32 arena. A merge updates or retargets edge records
 // without searching or shifting any neighbor's span, and leaves the ids of
-// edges it kills in place; the arena is compacted in place, live spans
-// sliding down, when merges strand too many dead ids.
+// edges it kills in place. The survivor's new span is rewritten in place
+// when its old one ends the arena, else written at the tail; the arena is
+// compacted in place, live spans sliding down, when merges strand too many
+// dead ids. The next merge comes from an indexed heap holding one key per
+// cluster (Müllner's generic algorithm): each cluster owns its pairs with
+// larger-index clusters and is keyed at or above their best candidate, so
+// the heap never holds more entries than there are clusters.
 // docs/PERFORMANCE.md ("Placement pipeline") sketches the layout
 // and the argument for why every transformation — including the optional
 // parallel edge aggregation behind Config.Parallel — reproduces the
@@ -613,12 +618,12 @@ func mergeLink(l Linkage, x, y link) link {
 	return x
 }
 
-// candidate is a heap entry proposing to merge clusters a and b at
-// linkage similarity sim, for the edge e that linked them when it was
-// proposed. It carries no version stamps: when it surfaces, it is dropped
-// if a or b has been absorbed, and otherwise the pair's candidate is
-// re-derived from edge e as it is then, the entry being stale exactly
-// when the two differ (see the merge loop in agglomerateInto).
+// candidate proposes merging clusters a < b at linkage similarity sim,
+// across the edge e that joins them. It is the key of a's slot in the
+// cluster heap: a owns every pair it forms with a larger index. A key may
+// be stale: b may have been absorbed since, or the pair's candidate may
+// have changed; the merge loop re-derives it from edge e before trusting
+// it (see agglomerateInto).
 type candidate struct {
 	sim float64
 	ab  uint64 // packed pair a<<32 | b; one compare breaks (a, b) ties
@@ -628,19 +633,6 @@ type candidate struct {
 func (c candidate) pair() (int32, int32) {
 	return int32(c.ab >> 32), int32(uint32(c.ab))
 }
-
-// candHeap is a hand-rolled 4-ary max-heap on (sim, a, b); avoiding
-// container/heap's interface boxing matters at ~10^6 candidates, and the
-// wider nodes halve the tree depth (fewer dependent sift steps, and the
-// four children of a node sit in at most two cache lines).
-//
-// Heap shape does not affect the merge sequence: candLess is strict on
-// (sim, a, b), so pop order is fully determined up to entries equal on
-// those keys. Such entries are identical, e included — two clusters stay
-// joined by the same edge for as long as both are roots — and which of two
-// identical entries surfaces first cannot matter (TestRunMatchesReference
-// pins this against the reference implementation's binary heap).
-type candHeap []candidate
 
 // candLess orders by descending sim, then ascending packed pair — the
 // cluster indices are non-negative, so the uint64 comparison is exactly
@@ -652,82 +644,116 @@ func candLess(x, y candidate) bool {
 	return x.ab < y.ab
 }
 
-// push and pop sift a hole rather than swapping: the displaced element is
-// written once at its final slot, halving the stores per sift step.
-func (h *candHeap) push(c candidate) {
-	s := append(*h, c)
-	i := len(s) - 1
+// clusterHeap is an indexed 4-ary max-heap on candLess holding at most one
+// key per cluster, so it never holds more entries than there are clusters
+// and needs no dead-entry sweeps. A slot stores its key itself, and the
+// key's first cluster is the slot's owner; pos[x] is x's slot, or -1 when
+// x is not in the heap. The wide nodes halve the tree depth, and sifts
+// move a hole rather than swapping: a displaced key is written once, at
+// its final slot.
+//
+// Heap shape does not affect the merge sequence: keys of distinct owners
+// differ in their pair, so candLess is a strict total order on the heap
+// and its root is fully determined.
+type clusterHeap struct {
+	keys []candidate
+	pos  []int32
+}
+
+// reset empties the heap for clusters 0..n-1.
+func (h *clusterHeap) reset(n int) {
+	h.keys = h.keys[:0]
+	h.pos = growSlice(h.pos, n)
+	for i := range h.pos {
+		h.pos[i] = -1
+	}
+}
+
+// raise sets the key of c's owner to the better of its key and c,
+// inserting the owner if it is not in the heap.
+func (h *clusterHeap) raise(c candidate) {
+	if i := h.pos[c.ab>>32]; i < 0 || candLess(c, h.keys[i]) {
+		h.set(c)
+	}
+}
+
+// set makes c the key of its owner, inserting the owner if it is not in
+// the heap.
+func (h *clusterHeap) set(c candidate) {
+	i := h.pos[c.ab>>32]
+	switch {
+	case i < 0:
+		h.keys = append(h.keys, c)
+		h.up(len(h.keys)-1, c)
+	case candLess(c, h.keys[i]):
+		h.up(int(i), c)
+	default:
+		h.down(int(i), c)
+	}
+}
+
+// remove takes x out of the heap, if it is in it; the last slot's key
+// fills the hole.
+func (h *clusterHeap) remove(x int32) {
+	i := h.pos[x]
+	if i < 0 {
+		return
+	}
+	h.pos[x] = -1
+	n := len(h.keys) - 1
+	last := h.keys[n]
+	h.keys = h.keys[:n]
+	switch {
+	case int(i) == n:
+	case candLess(last, h.keys[i]):
+		h.up(int(i), last)
+	default:
+		h.down(int(i), last)
+	}
+}
+
+// up places c at slot i or above it; every slot below i is already
+// heap-ordered against its parent.
+func (h *clusterHeap) up(i int, c candidate) {
+	keys := h.keys
 	for i > 0 {
 		p := (i - 1) / 4
-		if !candLess(c, s[p]) {
+		if !candLess(c, keys[p]) {
 			break
 		}
-		s[i] = s[p]
+		keys[i] = keys[p]
+		h.pos[keys[i].ab>>32] = int32(i)
 		i = p
 	}
-	s[i] = c
-	*h = s
+	keys[i] = c
+	h.pos[c.ab>>32] = int32(i)
 }
 
-func (h *candHeap) pop() {
-	s := *h
-	n := len(s) - 1
-	last := s[n]
-	*h = s[:n]
-	if n > 0 {
-		h.replaceTop(last)
-	}
-}
-
-// replaceTop overwrites the root with c and sifts it down: a pop followed
-// by a push of c, in one sift instead of two.
-func (h candHeap) replaceTop(c candidate) { h.siftDown(0, c) }
-
-// siftDown places c in the subtree rooted at slot i, whose children are
-// heaps.
-func (h candHeap) siftDown(i int, c candidate) {
-	s := h
-	n := len(s)
+// down places c in the subtree rooted at slot i, whose children are heaps.
+func (h *clusterHeap) down(i int, c candidate) {
+	keys := h.keys
+	n := len(keys)
 	for {
 		first := 4*i + 1
 		if first >= n {
 			break
 		}
-		end := first + 4
-		if end > n {
-			end = n
-		}
+		end := min(first+4, n)
 		best := first
 		for j := first + 1; j < end; j++ {
-			if candLess(s[j], s[best]) {
+			if candLess(keys[j], keys[best]) {
 				best = j
 			}
 		}
-		if !candLess(s[best], c) {
+		if !candLess(keys[best], c) {
 			break
 		}
-		s[i] = s[best]
+		keys[i] = keys[best]
+		h.pos[keys[i].ab>>32] = int32(i)
 		i = best
 	}
-	s[i] = c
-}
-
-// filter keeps the entries for which keep is true and restores the heap
-// order bottom-up (Floyd), in linear time.
-func (h *candHeap) filter(keep func(candidate) bool) {
-	s := (*h)[:0]
-	for _, c := range *h {
-		if keep(c) {
-			s = append(s, c)
-		}
-	}
-	*h = s
-	if len(s) < 2 {
-		return
-	}
-	for i := (len(s) - 2) / 4; i >= 0; i-- { // parent of the last slot
-		s.siftDown(i, s[i])
-	}
+	keys[i] = c
+	h.pos[c.ab>>32] = int32(i)
 }
 
 // The edge table holds one record per linked pair of live clusters: its
@@ -780,7 +806,9 @@ type agg struct {
 	mark  []int32
 	order []int32 // compaction scratch: spans in arena order
 	live  int     // live entries in the arena (for the compaction trigger)
-	heap  candHeap
+	// heap keys each live cluster x by a candidate at or above the current
+	// candidate of every mergeable pair (x, y), y > x; see agglomerateInto.
+	heap clusterHeap
 }
 
 // unionHook, when set, runs after every union; tests use it to check the
@@ -819,10 +847,35 @@ func (g *agg) candidateFor(a, b, e int32) (c candidate, ok bool) {
 	return candidate{sim: sim, ab: uint64(uint32(a))<<32 | uint64(uint32(b)), e: e}, true
 }
 
-// propose pushes the merge candidate for a and b, if there is one.
+// propose raises the key of the pair's owner to the merge candidate for a
+// and b, if there is one.
 func (g *agg) propose(a, b, e int32) {
 	if c, ok := g.candidateFor(a, b, e); ok {
-		g.heap.push(c)
+		g.heap.raise(c)
+	}
+}
+
+// rescan sets x's key to the best current candidate among the pairs x
+// owns, or takes x out of the heap if none of them may merge.
+func (g *agg) rescan(x int32) {
+	c := &g.clusters[x]
+	var best candidate
+	found := false
+	for _, e := range g.adj[c.adjOff : c.adjOff+c.adjLen] {
+		ed := &g.edges[e]
+		if ed.u < 0 {
+			continue
+		}
+		if k := ed.u ^ ed.v ^ x; k > x {
+			if nc, ok := g.candidateFor(x, k, e); ok && (!found || candLess(nc, best)) {
+				best, found = nc, true
+			}
+		}
+	}
+	if found {
+		g.heap.set(best)
+	} else {
+		g.heap.remove(x)
 	}
 }
 
@@ -882,18 +935,26 @@ func (g *agg) compact() {
 }
 
 // union merges cluster b into a (a keeps its index), assuming a, b are live
-// roots and the caller already validated the merge. a's new span is written
-// at the arena tail: a's live edges first, then b's edges to neighbors a
-// did not have, retargeted to a. For a neighbor both had, a's edge takes
-// the merged aggregate (a's first, as in the reference fold) and b's edge
-// dies. Every pair whose link changed is proposed — the same set of heap
-// pushes as the reference, in another order, which the strict heap order
-// makes irrelevant.
+// roots and the caller already validated the merge. a's new span holds a's
+// live edges first, then b's edges to neighbors a did not have, retargeted
+// to a. It is written at the arena tail, or over a's old span when that
+// span already ends the arena (as after a's last union), sliding live ids
+// down over dead ones. For a neighbor both had, a's edge takes the merged
+// aggregate (a's first, as in the reference fold) and b's edge dies.
+//
+// b leaves the heap. Every pair (k, a) with k < a whose link changed
+// raises k's key, and a's key becomes its exact best, taken over all the
+// pairs it owns on the same walk. A pair (k, a) whose link is unchanged
+// never gains similarity as a grows, so k's key still bounds it.
 func (g *agg) union(a, b int32, sim float64) {
 	ca, cb := &g.clusters[a], &g.clusters[b]
 	// Reserve arena room first: a compaction here still sees both spans as
 	// live and relocates them coherently before we capture them below.
-	g.ensure(int(ca.deg) + int(cb.deg))
+	need := int(cb.deg)
+	if int(ca.adjOff+ca.adjLen) != len(g.adj) {
+		need += int(ca.deg)
+	}
+	g.ensure(need)
 	g.parent[b] = a
 	g.atomNext[ca.atomTail] = cb.atomHead
 	ca.atomTail = cb.atomTail
@@ -906,6 +967,7 @@ func (g *agg) union(a, b int32, sim float64) {
 	}
 	ca.cohesion = sim
 	cb.alive = false
+	g.heap.remove(b)
 
 	l := g.cfg.Linkage
 	spanA := g.adj[ca.adjOff : ca.adjOff+ca.adjLen]
@@ -922,8 +984,17 @@ func (g *agg) union(a, b int32, sim float64) {
 			ed.u = -1
 		}
 	}
+	// Truncating the arena to a's span start rewrites that span in place:
+	// each id is read before the tail can reach its slot, and b's span
+	// lies below it.
 	base := len(g.adj)
+	if int(ca.adjOff+ca.adjLen) == base {
+		base = int(ca.adjOff)
+		g.adj = g.adj[:base]
+	}
 	g.live -= int(ca.deg) + int(cb.deg)
+	var best candidate
+	found := false
 	for _, e := range spanA {
 		ed := &g.edges[e]
 		if ed.u < 0 {
@@ -931,7 +1002,8 @@ func (g *agg) union(a, b int32, sim float64) {
 		}
 		g.adj = append(g.adj, e)
 		k := ed.u ^ ed.v ^ a
-		if eb := g.mark[k]; eb >= 0 {
+		eb := g.mark[k]
+		if eb >= 0 {
 			// Shared neighbor: fold b's aggregate into a's edge and kill
 			// b's, which k's span then skips.
 			ed.li = mergeLink(l, ed.li, g.edges[eb].li)
@@ -939,7 +1011,13 @@ func (g *agg) union(a, b int32, sim float64) {
 			g.mark[k] = -1
 			g.clusters[k].deg--
 			g.live--
-			g.propose(a, k, e)
+		}
+		if k < a {
+			if eb >= 0 {
+				g.propose(a, k, e)
+			}
+		} else if c, ok := g.candidateFor(a, k, e); ok && (!found || candLess(c, best)) {
+			best, found = c, true
 		}
 	}
 	for _, e := range spanB {
@@ -952,13 +1030,22 @@ func (g *agg) union(a, b int32, sim float64) {
 		ed.u, ed.v = a, k
 		g.mark[k] = -1
 		g.adj = append(g.adj, e)
-		g.propose(a, k, e)
+		if k < a {
+			g.propose(a, k, e)
+		} else if c, ok := g.candidateFor(a, k, e); ok && (!found || candLess(c, best)) {
+			best, found = c, true
+		}
 	}
 	ca.adjOff = int32(base)
 	ca.adjLen = int32(len(g.adj) - base)
 	ca.deg = ca.adjLen
 	g.live += int(ca.deg)
 	cb.adjLen, cb.deg = 0, 0
+	if found {
+		g.heap.set(best)
+	} else {
+		g.heap.remove(a)
+	}
 }
 
 func agglomerateInto(w *model.Workload, atoms []atom, cfg Config, s *scratch, workers int) []Cluster {
@@ -1012,12 +1099,7 @@ func agglomerateInto(w *model.Workload, atoms []atom, cfg Config, s *scratch, wo
 			cw[int(r)/64] |= 1 << (uint(r) % 64)
 		}
 	}
-	// The heap sees at most one initial proposal per edge plus lazy
-	// refreshes; starting at edge capacity removes nearly all regrowth.
-	if cap(g.heap) < len(pairs) {
-		g.heap = make(candHeap, 0, len(pairs))
-	}
-	g.heap = g.heap[:0]
+	g.heap.reset(n)
 
 	cur := growSlice(s.cursor, n)
 	for i := range clusters {
@@ -1037,48 +1119,26 @@ func agglomerateInto(w *model.Workload, atoms []atom, cfg Config, s *scratch, wo
 	}
 	s.cursor = cur
 
-	dead := 0
-	for len(g.heap) > 0 {
-		c := g.heap[0]
-		pa, pb := c.pair()
-		// Invariant: every pair of linked live clusters that may merge has
-		// an entry keyed at or above its current (sim, pair) — union
-		// proposes every pair whose link it changes, and a pair whose link
-		// is unchanged only loses similarity as its clusters grow. So an
-		// entry that still matches its pair's current candidate is the
-		// global maximum and merges, and the merge order is that of always
-		// merging the best current pair, however many stale entries the
-		// heap holds. An entry naming an absorbed cluster is dropped: the
-		// absorbing union proposed the surviving pair.
-		a, b := g.find(pa), g.find(pb)
-		if a != pa || b != pb {
-			g.heap.pop()
-			// Most pops are such dead entries, each a full sift from the
-			// root. Once a quarter of the heap's length has been popped
-			// dead, sweep out the rest in one linear pass.
-			if dead++; dead > len(g.heap)/4 {
-				g.heap.filter(func(c candidate) bool {
-					pa, pb := c.pair()
-					return g.parent[pa] == pa && g.parent[pb] == pb
-				})
-				dead = 0
-			}
+	// Invariant: every live cluster x that owns a mergeable pair (x, y),
+	// y > x, is in the heap keyed at or above that pair's current (sim,
+	// pair) — union sets the survivor's key exactly and raises the owner
+	// of every pair whose link it changes, and a pair whose link is
+	// unchanged never gains similarity as its clusters grow. So a root key
+	// that still matches its pair's current candidate is the global
+	// maximum and merges, and the merge order is that of always merging
+	// the best current pair. A root key that names an absorbed cluster, or
+	// whose pair's candidate has changed, is replaced by its owner's exact
+	// best.
+	for len(g.heap.keys) > 0 {
+		c := g.heap.keys[0]
+		a, b := c.pair()
+		// candidateFor reads edge e only if b is still live; then e still
+		// joins exactly a and b (a is live: absorbed clusters leave the
+		// heap).
+		if nc, ok := g.candidateFor(a, b, c.e); !ok || nc != c {
+			g.rescan(a)
 			continue
 		}
-		// Both endpoints are roots, so the entry's edge is alive and joins
-		// exactly them. Their link and sizes change only when one of them
-		// absorbs another; then the entry is stale and the refreshed
-		// candidate takes its place, or it is dropped if there is none.
-		nc, ok := g.candidateFor(a, b, c.e)
-		if !ok {
-			g.heap.pop()
-			continue
-		}
-		if nc != c {
-			g.heap.replaceTop(nc)
-			continue
-		}
-		g.heap.pop()
 		ca, cb := &clusters[a], &clusters[b]
 		// Merge the smaller adjacency into the larger, by live degree (the
 		// old map's len(neighbors)); span length would count dead edges

@@ -3,7 +3,6 @@ package cluster
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"paralleltape/internal/model"
@@ -373,56 +372,66 @@ func BenchmarkClusterPaperScale(b *testing.B) {
 	}
 }
 
-// TestCandHeapOrder drives the candidate heap through random pushes, pops,
-// root replacements and filters, checking after every step that the root
-// is the best remaining entry under candLess. Keys are drawn from small
-// ranges so ties on sim, and identical entries, are common.
-func TestCandHeapOrder(t *testing.T) {
+// TestClusterHeapOrder drives the cluster heap through random raises, sets
+// and removals against a brute-force map of keys, checking after every
+// step that the root is the best key under candLess, that pos and the
+// slots agree, and that exactly the absent clusters have pos -1. Keys are
+// drawn from small ranges so ties on sim are common.
+func TestClusterHeapOrder(t *testing.T) {
+	const n = 40
 	r := rand.New(rand.NewSource(1))
-	draw := func() candidate {
-		return candidate{sim: float64(r.Intn(30)), ab: uint64(r.Intn(20))<<32 | uint64(r.Intn(20))}
+	draw := func(x int32) candidate {
+		return candidate{sim: float64(r.Intn(8)), ab: uint64(x)<<32 | uint64(r.Intn(n)), e: int32(r.Intn(4))}
 	}
-	var h candHeap
-	var ref []candidate // the same multiset, unordered
-	remove := func(c candidate) {
-		i := slices.Index(ref, c)
-		ref[i] = ref[len(ref)-1]
-		ref = ref[:len(ref)-1]
-	}
+	var h clusterHeap
+	h.reset(n)
+	ref := map[int32]candidate{}
 	for step := 0; step < 20000; step++ {
-		switch op := r.Intn(20); {
-		case op < 10 || len(ref) == 0:
-			c := draw()
-			h.push(c)
-			ref = append(ref, c)
-		case op < 14:
-			remove(h[0])
-			h.pop()
-		case op < 19:
-			c := draw()
-			remove(h[0])
-			h.replaceTop(c)
-			ref = append(ref, c)
+		x := int32(r.Intn(n))
+		switch op := r.Intn(10); {
+		case op < 4:
+			c := draw(x)
+			h.raise(c)
+			if old, ok := ref[x]; !ok || candLess(c, old) {
+				ref[x] = c
+			}
+		case op < 7:
+			c := draw(x)
+			h.set(c)
+			ref[x] = c
 		default:
-			odd := r.Intn(2) == 1
-			keep := func(c candidate) bool { return (c.ab&1 == 1) == odd || c.sim > 20 }
-			h.filter(keep)
-			ref = slices.DeleteFunc(ref, func(c candidate) bool { return !keep(c) })
+			h.remove(x)
+			delete(ref, x)
 		}
-		if len(h) != len(ref) {
-			t.Fatalf("step %d: heap holds %d entries, want %d", step, len(h), len(ref))
+		if len(h.keys) != len(ref) {
+			t.Fatalf("step %d: heap holds %d keys, want %d", step, len(h.keys), len(ref))
+		}
+		for i, c := range h.keys {
+			if owner := int32(c.ab >> 32); h.pos[owner] != int32(i) {
+				t.Fatalf("step %d: slot %d holds cluster %d, whose pos is %d", step, i, owner, h.pos[owner])
+			}
+		}
+		for y := int32(0); y < n; y++ {
+			c, in := ref[y]
+			switch {
+			case !in && h.pos[y] != -1:
+				t.Fatalf("step %d: absent cluster %d has pos %d", step, y, h.pos[y])
+			case in && (h.pos[y] < 0 || h.keys[h.pos[y]] != c):
+				t.Fatalf("step %d: cluster %d has pos %d, want its key %+v", step, y, h.pos[y], c)
+			}
 		}
 		if len(ref) == 0 {
 			continue
 		}
-		best := ref[0]
-		for _, c := range ref[1:] {
-			if candLess(c, best) {
-				best = c
+		var best candidate
+		found := false
+		for _, c := range ref {
+			if !found || candLess(c, best) {
+				best, found = c, true
 			}
 		}
-		if h[0] != best {
-			t.Fatalf("step %d: root %+v, best remaining %+v", step, h[0], best)
+		if h.keys[0] != best {
+			t.Fatalf("step %d: root %+v, best key %+v", step, h.keys[0], best)
 		}
 	}
 }

@@ -19,7 +19,12 @@ type edgeTableChecker struct {
 //   - no two live edges join the same pair;
 //   - each live cluster's deg counts the live edges in its span, and the
 //     arena's live count is their sum;
-//   - mark is all -1.
+//   - mark is all -1;
+//   - no absorbed cluster is in the heap, and each heap slot is owned by
+//     the cluster whose pos names it and is heap-ordered against its
+//     parent;
+//   - for every live edge (x, y), x < y, whose candidateFor is ok, x is in
+//     the heap keyed at or above that candidate.
 func (ck *edgeTableChecker) check(g *agg) error {
 	ck.inU = growI32(ck.inU, len(g.edges))
 	ck.inV = growI32(ck.inV, len(g.edges))
@@ -76,6 +81,29 @@ func (ck *edgeTableChecker) check(g *agg) error {
 		}
 		if ck.inU[e] != 1 || ck.inV[e] != 1 {
 			return fmt.Errorf("live edge %d (%d–%d) appears %d and %d times in its endpoints' spans", e, ed.u, ed.v, ck.inU[e], ck.inV[e])
+		}
+		c, ok := g.candidateFor(ed.u, ed.v, int32(e))
+		if !ok {
+			continue
+		}
+		x, _ := c.pair()
+		if i := g.heap.pos[x]; i < 0 {
+			return fmt.Errorf("cluster %d owns mergeable pair %+v but is not in the heap", x, c)
+		} else if key := g.heap.keys[i]; candLess(c, key) {
+			return fmt.Errorf("cluster %d owns pair %+v above its key %+v", x, c, key)
+		}
+	}
+	for k := range g.clusters {
+		if !g.clusters[k].alive && g.heap.pos[k] != -1 {
+			return fmt.Errorf("absorbed cluster %d is in heap slot %d", k, g.heap.pos[k])
+		}
+	}
+	for i, key := range g.heap.keys {
+		if x, _ := key.pair(); g.heap.pos[x] != int32(i) {
+			return fmt.Errorf("heap slot %d holds cluster %d, whose pos is %d", i, x, g.heap.pos[x])
+		}
+		if p := (i - 1) / 4; i > 0 && candLess(key, g.heap.keys[p]) {
+			return fmt.Errorf("heap slot %d key %+v above its parent's %+v", i, key, g.heap.keys[p])
 		}
 	}
 	for k, m := range g.mark {
